@@ -1,24 +1,22 @@
-"""Benchmark trajectory for the campaign-wide work-stealing scheduler.
+"""Benchmark trajectory for campaign-wide execution on one shared queue.
 
 Times a multi-cell campaign executed two ways at **equal total worker
 count**:
 
-* **baseline** — ``scheduler="cell"``: cells run sequentially, each
-  spinning up its own short-lived per-cell process pool and building one
-  world per ``(repetition, controller)`` work item;
-* **fast** — ``scheduler="global"``: one persistent pool drains the
-  whole ``(cell × repetition × controller)`` grid as ``(cell,
-  repetition)`` dispatch units, so a worker builds each repetition's
-  world once and runs every controller on it, and no pool is ever
-  re-created.
+* **baseline** — cells run sequentially, one
+  ``run_repetitions(config=RunConfig(jobs=N, checkpoint_dir=cell_dir))``
+  per cell, so each cell spins up its own short-lived process pool and
+  workers idle through every cell's tail;
+* **fast** — ``run_campaign(config=RunConfig(jobs=N))``: one persistent
+  pool drains the whole ``(cell × repetition × controller)`` grid as
+  ``(cell, repetition)`` dispatch units, and no pool is ever re-created.
 
 The grid is deliberately build-heavy (bursty workload, thousands of
-requests, a short horizon, LP-free controllers), the regime the global
-scheduler targets: the per-item world rebuilds and the per-cell pool
-spin-ups are the baseline's overhead, and both vanish under the shared
-queue.  After timing, the two result trees are compared byte-for-byte —
-the speedup only counts because ``summary.json`` is identical under
-both engines.
+requests, a short horizon, LP-free controllers).  After timing, the two
+result trees are compared byte-for-byte — the speedup only counts
+because ``summary.json`` is identical under both.  (``BENCH_pr8.json``
+was recorded when the baseline also rebuilt one world per ``(repetition,
+controller)`` item; the baseline now shares builds per repetition.)
 
 A second stage isolates the ``PerSlotLpSolver`` capacity patch: the
 pre-PR per-station row loop over the sparse buffer (legacy emulation)
@@ -53,15 +51,19 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from repro.campaigns import (
+    CampaignScenario,
     CampaignSpec,
     FactorAxis,
     ScenarioSpec,
     cell_directory,
+    failure_schedule,
     run_campaign,
 )
+from repro.campaigns.runner import write_cell_summary
 from repro.core.fastlp import PerSlotLpSolver
 from repro.mec.network import MECNetwork
 from repro.mec.requests import Request
+from repro.sim import RunConfig, run_repetitions
 from repro.utils.seeding import RngRegistry
 
 SCHEMA = "repro.bench.trajectory/v1"
@@ -153,20 +155,41 @@ def _summary_tree(out_dir: Path, spec: CampaignSpec) -> Dict[str, bytes]:
     }
 
 
+def _sequential_cells(spec: CampaignSpec, out: Path, n_jobs: int) -> None:
+    """The baseline: one ``run_repetitions`` (and one pool) per cell."""
+    for cell in spec.expand():
+        cell_dir = cell_directory(out, cell.cell_id)
+        study = run_repetitions(
+            CampaignScenario(cell.scenario),
+            seed=cell.seed,
+            repetitions=spec.repetitions,
+            horizon=cell.scenario.horizon,
+            demands_known=spec.demands_known,
+            confidence=spec.confidence,
+            config=RunConfig(jobs=n_jobs, checkpoint_dir=cell_dir),
+            n_controllers=len(cell.scenario.controllers),
+            failures=failure_schedule(cell.scenario),
+        )
+        write_cell_summary(cell_dir, cell, study)
+
+
 def _campaign_stage(config: Dict) -> Dict:
-    """The acceptance stage: per-cell pools vs the global scheduler."""
+    """The acceptance stage: per-cell pools vs one campaign-wide queue."""
     spec = _campaign_spec(config)
     workdir = Path(tempfile.mkdtemp(prefix="bench-campaign-"))
     counter = {"n": 0}
 
-    def run(scheduler: str) -> Path:
+    def run(engine: str) -> Path:
         counter["n"] += 1
-        out = workdir / f"{scheduler}-{counter['n']}"
-        result = run_campaign(
-            spec, out, scheduler=scheduler, n_jobs=config["n_jobs"]
-        )
-        if not result.complete:
-            raise RuntimeError(f"benchmark campaign incomplete in {out}")
+        out = workdir / f"{engine}-{counter['n']}"
+        if engine == "cell":
+            _sequential_cells(spec, out, config["n_jobs"])
+        else:
+            result = run_campaign(
+                spec, out, config=RunConfig(jobs=config["n_jobs"])
+            )
+            if not result.complete:
+                raise RuntimeError(f"benchmark campaign incomplete in {out}")
         return out
 
     try:
@@ -175,8 +198,8 @@ def _campaign_stage(config: Dict) -> Dict:
         # The speedup only counts if the engines agree byte-for-byte.
         if _summary_tree(baseline_out, spec) != _summary_tree(fast_out, spec):
             raise RuntimeError(
-                "global scheduler summaries differ from the sequential "
-                "per-cell path; refusing to record the benchmark"
+                "campaign-wide summaries differ from the sequential "
+                "per-cell loop; refusing to record the benchmark"
             )
         stage = _stage(
             "campaign_global_scheduler",

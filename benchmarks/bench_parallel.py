@@ -1,7 +1,7 @@
 """Serial-vs-parallel throughput of the repetition engine.
 
 Runs the same 16-repetition, 2-controller study through
-``run_repetitions`` with ``n_jobs=1`` and ``n_jobs=4`` and reports
+``run_repetitions`` with ``RunConfig(jobs=1)`` and ``RunConfig(jobs=4)`` and reports
 wall-clock, runs/second and the speedup, asserting the two paths agree
 bit-for-bit on every seed-determined metric (the engine's core
 guarantee).  The speedup itself is hardware-dependent — on a >=4-core
@@ -23,7 +23,7 @@ import pytest
 from repro.core import GreedyController, OlGdController
 from repro.mec import DriftingDelay, MECNetwork
 from repro.mec.requests import Request
-from repro.sim import run_repetitions
+from repro.sim import RunConfig, run_repetitions
 from repro.utils.seeding import RngRegistry
 from repro.workload import ConstantDemandModel
 
@@ -67,7 +67,7 @@ def _run(n_jobs: int):
         seed=SEED,
         repetitions=N_REPETITIONS,
         horizon=HORIZON,
-        n_jobs=n_jobs,
+        config=RunConfig(jobs=n_jobs),
         n_controllers=2,
     )
     return study, time.perf_counter() - start

@@ -12,13 +12,11 @@ A campaign run owns one directory::
             timing.json          # wall-clock sidecar (decision times,
                                  # execution accounting)
 
-Every cell is one repetition study over the cell's
+Every cell is one :class:`~repro.sim.parallel.Sweep` over the cell's
 :class:`~repro.campaigns.scenario.CampaignScenario`, seeded with the
-cell's own derived seed and checkpointed into the cell directory —
-executed either cell-by-cell through :func:`repro.sim.run_repetitions`
-or by the campaign-wide scheduler (:mod:`repro.campaigns.scheduler`);
-see :func:`run_campaign`'s ``scheduler`` argument.  Resume works at two
-grains under both engines: a finished cell is recognised by its
+cell's own derived seed and checkpointed into the cell directory; all
+unfinished cells drain through one :func:`repro.sim.parallel.run_sweeps`
+queue.  Resume works at two grains: a finished cell is recognised by its
 ``summary.json`` and never re-executed, and a *partially* finished cell
 re-enters the sweep-manifest resume path and runs only its missing
 ``(repetition, controller)`` items.
@@ -33,22 +31,26 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.campaigns.scenario import CampaignScenario, failure_schedule
 from repro.campaigns.spec import CampaignCell, CampaignError, CampaignSpec
-from repro.sim.config import UNSET, RunConfig, resolve_run_config
-from repro.sim.multirun import MetricSummary, RepetitionStudy, run_repetitions
-from repro.sim.parallel import resolve_n_jobs
+from repro.sim.config import RunConfig
+from repro.sim.multirun import (
+    MetricSummary,
+    RepetitionStudy,
+    aggregate_work_results,
+)
+from repro.sim.parallel import Sweep, WorkResult, resolve_n_jobs, run_sweeps
 from repro.state.manifest import completed_items
 
 __all__ = [
     "CampaignResult",
     "CellStatus",
     "CampaignStatus",
-    "SCHEDULERS",
     "TIMING_METRICS",
     "run_campaign",
     "campaign_status",
@@ -66,12 +68,9 @@ _SUMMARY_FILE = "summary.json"
 _TIMING_FILE = "timing.json"
 _CELLS_DIR = "cells"
 
-#: Valid ``scheduler`` arguments of :func:`run_campaign`.
-SCHEDULERS = ("auto", "global", "cell")
-
 #: Metric summaries built from wall-clock measurements.  They are split
 #: out of ``summary.json`` (whose contract is byte-identity across
-#: reruns, worker counts and scheduler choices) into ``timing.json``;
+#: reruns, worker counts and resumes) into ``timing.json``;
 #: the report layer merges them back for tables and CSV.
 TIMING_METRICS = ("mean_decision_s",)
 
@@ -110,8 +109,8 @@ def write_cell_summary(
     """Persist the aggregate of one finished cell (reproducible fields only).
 
     ``summary.json`` carries only seed-determined fields: the summary of
-    a resumed campaign — or one executed by a different scheduler or
-    worker count — must be byte-identical to an uninterrupted sequential
+    a resumed campaign — or one executed with a different worker
+    count — must be byte-identical to an uninterrupted sequential
     run's.  Wall-clock-derived metric summaries (:data:`TIMING_METRICS`,
     i.e. controller decision time) and the run's execution accounting go
     to ``timing.json`` next to it; the report layer merges them back.
@@ -236,123 +235,88 @@ def run_campaign(
     *,
     config: Optional[RunConfig] = None,
     max_cells: Optional[int] = None,
-    n_jobs: object = UNSET,
-    resume: object = UNSET,
-    max_retries: object = UNSET,
-    collect_metrics: object = UNSET,
-    scheduler: object = UNSET,
 ) -> CampaignResult:
     """Execute ``spec``'s cells into ``out_dir``; resumable at any point.
 
     ``config`` (a :class:`repro.sim.RunConfig`) carries the execution
     knobs — the same spelling :func:`repro.sim.run_simulation` and
-    :func:`repro.sim.run_repetitions` use: ``jobs``, ``retries``,
-    ``collect_metrics``, ``resume``, plus the campaign-only
-    ``scheduler``.  The pre-``RunConfig`` keywords (``n_jobs``,
-    ``max_retries``, and the bare ``resume``/``collect_metrics``/
-    ``scheduler``) still work but raise :class:`DeprecationWarning`;
-    mixing them with ``config=`` is a :class:`TypeError`.
+    :func:`repro.sim.run_repetitions` use: ``jobs`` counts
+    campaign-global workers draining the whole ``(cell × repetition ×
+    controller)`` grid from one queue (``1`` runs it in-process);
+    ``retries``, ``collect_metrics``, ``checkpoint_every`` and ``resume``
+    keep their :func:`repro.sim.parallel.run_sweeps` semantics.  The
+    campaign directory is the persistence root, so
+    ``config.checkpoint_dir`` is not read.
 
-    ``config.scheduler`` picks the execution engine:
-
-    * ``"global"`` — the campaign-wide work-stealing scheduler
-      (:mod:`repro.campaigns.scheduler`): one persistent pool of
-      ``jobs`` workers drains the entire ``(cell × repetition ×
-      controller)`` grid from a shared queue.
-    * ``"cell"`` — the legacy path: cells run sequentially in expansion
-      order, each with its own per-cell pool of ``jobs`` workers
-      (forwarded to :func:`repro.sim.run_repetitions`).
-    * ``"auto"`` (default) — ``"global"`` when ``jobs`` resolves to
-      more than one worker, ``"cell"`` otherwise (in-process execution
-      already shares world builds, so the pool buys nothing at 1).
-
-    Both engines write the same directory tree with byte-identical
-    ``summary.json`` per cell, so they can be mixed freely across
-    resumes.  ``retries``/``collect_metrics`` keep their
-    :meth:`ParallelRunner.run` semantics under both.  ``max_cells`` stops
-    after executing that many cells — the programmatic stand-in for a
-    mid-campaign kill, and what the CI smoke test uses to exercise the
-    resume path deterministically.
+    Every cell's ``summary.json`` is written the moment its grid
+    completes and is byte-identical for any worker count and across
+    resumes.  ``max_cells`` executes only the first N unfinished cells
+    in expansion order — the programmatic stand-in for a mid-campaign
+    kill, and what the CI smoke test uses to exercise the resume path
+    deterministically.
     """
-    run_config = resolve_run_config(
-        "run_campaign",
-        config,
-        {
-            "n_jobs": n_jobs,
-            "resume": resume,
-            "max_retries": max_retries,
-            "collect_metrics": collect_metrics,
-            "scheduler": scheduler,
-        },
-    )
-    if run_config.scheduler not in SCHEDULERS:
-        raise CampaignError(
-            f"unknown scheduler {run_config.scheduler!r}; "
-            f"pick one of {SCHEDULERS}"
-        )
-    if run_config.scheduler == "global" or (
-        run_config.scheduler == "auto"
-        and resolve_n_jobs(run_config.jobs) > 1
-    ):
-        from repro.campaigns.scheduler import run_campaign_scheduled
-
-        return run_campaign_scheduled(
-            spec,
-            out_dir,
-            n_jobs=run_config.jobs,
-            resume=run_config.resume,
-            max_retries=run_config.retries,
-            max_cells=max_cells,
-            collect_metrics=run_config.collect_metrics,
-        )
+    config = config if config is not None else RunConfig()
     out_dir = Path(out_dir)
     cells = spec.expand()
-    _check_or_claim_directory(spec, out_dir, run_config.resume)
+    _check_or_claim_directory(spec, out_dir, config.resume)
+    workers = resolve_n_jobs(config.jobs)
 
-    studies: Dict[str, RepetitionStudy] = {}
-    executed: List[str] = []
+    todo: List[CampaignCell] = []
     skipped: List[str] = []
     remaining: List[str] = []
     budget = len(cells) if max_cells is None else max_cells
     for cell in cells:
-        cell_dir = cell_directory(out_dir, cell.cell_id)
-        if read_cell_summary(cell_dir) is not None:
+        if read_cell_summary(cell_directory(out_dir, cell.cell_id)) is not None:
             skipped.append(cell.cell_id)
-            continue
-        if budget <= 0:
+        elif len(todo) < budget:
+            todo.append(cell)
+        else:
             remaining.append(cell.cell_id)
-            continue
-        budget -= 1
-        logger.info(
-            "campaign %s: cell %s (%d/%d), seed=%d",
-            spec.name, cell.cell_id, cell.index + 1, len(cells), cell.seed,
-        )
-        study = run_repetitions(
-            CampaignScenario(cell.scenario),
-            seed=cell.seed,
-            repetitions=spec.repetitions,
+    logger.info(
+        "campaign %s: %d worker(s), %d cell(s) to run "
+        "(%d skipped, %d beyond budget)",
+        spec.name, workers, len(todo), len(skipped), len(remaining),
+    )
+
+    wall_start = time.perf_counter()
+    studies: Dict[str, RepetitionStudy] = {}
+
+    def write_summary(index: int, results: List[WorkResult]) -> None:
+        cell = todo[index]
+        study = aggregate_work_results(
+            results,
             horizon=cell.scenario.horizon,
-            demands_known=spec.demands_known,
+            repetitions=spec.repetitions,
             confidence=spec.confidence,
-            config=RunConfig(
-                jobs=run_config.jobs,
-                retries=run_config.retries,
-                collect_metrics=run_config.collect_metrics,
-                checkpoint_dir=cell_dir,
-                resume=run_config.resume,
-            ),
-            n_controllers=len(cell.scenario.controllers),
-            failures=failure_schedule(cell.scenario),
+            n_jobs=workers,
+            wall_clock_seconds=time.perf_counter() - wall_start,
         )
-        write_cell_summary(cell_dir, cell, study)
+        write_cell_summary(cell_directory(out_dir, cell.cell_id), cell, study)
         studies[cell.cell_id] = study
-        executed.append(cell.cell_id)
+
+    run_sweeps(
+        [
+            Sweep(
+                CampaignScenario(cell.scenario),
+                seed=cell.seed,
+                repetitions=spec.repetitions,
+                horizon=cell.scenario.horizon,
+                demands_known=spec.demands_known,
+                failures=failure_schedule(cell.scenario),
+                directory=cell_directory(out_dir, cell.cell_id),
+                n_controllers=len(cell.scenario.controllers),
+            )
+            for cell in todo
+        ],
+        config=replace(config, jobs=workers),
+        on_complete=write_summary,
+    )
     return CampaignResult(
         spec=spec,
         out_dir=out_dir,
         cells=cells,
         studies=studies,
-        executed=tuple(executed),
+        executed=tuple(cell.cell_id for cell in todo),
         skipped=tuple(skipped),
         remaining=tuple(remaining),
     )

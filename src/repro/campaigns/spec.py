@@ -41,7 +41,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.core.registry import CONTROLLERS
 from repro.mec.registry import TOPOLOGIES

@@ -13,7 +13,7 @@ Compared against `OL_GD` in ``benchmarks/bench_ablation_cmab.py``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 

@@ -38,8 +38,6 @@ from repro.core.candidates import (
     sample_assignment,
 )
 from repro.core.controller import Controller
-from repro.core.formulation import build_caching_model
-from repro.lp.solver import solve_lp
 from repro.mec.network import MECNetwork
 from repro.mec.requests import Request
 from repro.utils.validation import require_probability

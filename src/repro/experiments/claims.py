@@ -14,7 +14,7 @@ profile's averaging) are reported but do not fail a quick run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 import numpy as np
 

@@ -18,8 +18,8 @@ harness use the full profile.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.utils.validation import require_positive
 

@@ -6,7 +6,7 @@ algorithms over the horizon and returns a :class:`FigureResult` with the
 same series the paper plots.  Values are averaged over
 ``profile.repetitions`` independently-seeded topologies (the paper uses
 80); with ``profile.n_jobs != 1`` the repetitions fan out over a process
-pool (``repro.sim.parallel``) with bit-identical averages.
+pool (:func:`repro.sim.parallel.run_sweeps`) with bit-identical averages.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from repro.core.controller import Controller
 from repro.experiments.config import ExperimentProfile
 from repro.mec.network import MECNetwork
 from repro.mec.requests import Request
-from repro.sim import SimulationResult
-from repro.sim.parallel import ParallelRunner
+from repro.sim import RunConfig, SimulationResult
+from repro.sim.parallel import Sweep, run_sweeps
 from repro.utils.seeding import RngRegistry
 from repro.workload import (
     BurstyDemandModel,
@@ -198,12 +198,6 @@ class _FigureScenario:
         return network, demand_model, controllers
 
 
-# Controller counts per family, so the parallel path can size its work
-# grid without a probe build (building a predictive scenario pretrains
-# the GAN — too expensive to do just for counting).
-_FAMILY_SIZES = {"given": 3, "predictive": 2}
-
-
 def _average_runs(
     profile: ExperimentProfile,
     family: str,
@@ -221,7 +215,7 @@ def _average_runs(
     instance counts) are taken from repetition 0 — they are per-run
     observables, not averaged statistics.
 
-    Repetitions execute through :class:`repro.sim.ParallelRunner` honouring
+    Repetitions execute as one :class:`repro.sim.parallel.Sweep` honouring
     ``profile.n_jobs`` (results are bit-identical across worker counts).
     Figures need every repetition, so unlike ``run_repetitions`` a crashed
     repetition is an error here — a silently missing seed would change the
@@ -244,18 +238,23 @@ def _average_runs(
         if bursty:
             label += "-bursty"
         sweep_dir = Path(profile.checkpoint_dir) / label
-    runner = ParallelRunner(n_jobs=profile.n_jobs)
-    work = runner.run(
-        scenario,
-        seed=profile.seed,
-        repetitions=profile.repetitions,
-        horizon=horizon,
-        demands_known=not bursty,
-        n_controllers=_FAMILY_SIZES[family],
-        max_retries=profile.max_retries,
-        checkpoint_dir=sweep_dir,
-        checkpoint_every=profile.checkpoint_every,
-        resume=profile.resume,
+    [work] = run_sweeps(
+        [
+            Sweep(
+                scenario,
+                seed=profile.seed,
+                repetitions=profile.repetitions,
+                horizon=horizon,
+                demands_known=not bursty,
+                directory=sweep_dir,
+            )
+        ],
+        config=RunConfig(
+            jobs=profile.n_jobs,
+            retries=profile.max_retries,
+            checkpoint_every=profile.checkpoint_every,
+            resume=profile.resume,
+        ),
     )
     failed = [w for w in work if not w.ok]
     if failed:

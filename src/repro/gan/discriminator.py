@@ -12,7 +12,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.nn.layers import BiLSTM, Dense, Module
+from repro.nn.layers import Dense, Module
 from repro.nn.recurrent import make_birnn
 from repro.nn.tensor import Tensor
 from repro.utils.validation import require_positive

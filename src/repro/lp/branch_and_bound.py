@@ -13,12 +13,12 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.lp.model import LpModel
-from repro.lp.solver import LpSolution, solve_lp
+from repro.lp.solver import solve_lp
 
 __all__ = ["BranchAndBoundResult", "solve_ilp"]
 

@@ -12,7 +12,6 @@ prices for a caching model built by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog

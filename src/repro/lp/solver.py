@@ -8,7 +8,6 @@ within a time slot's budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog

@@ -12,10 +12,9 @@ available to users building richer delay models.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 import networkx as nx
-import numpy as np
 
 from repro.mec.geometry import Point
 from repro.mec.network import MECNetwork

@@ -13,7 +13,7 @@ construction path.  Shape mismatches fail loudly.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, Union
 
 import numpy as np
 

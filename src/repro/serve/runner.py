@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import signal
 import sys
-import threading
 from typing import IO, Optional
 
 from repro.serve.config import ServeConfig

@@ -6,7 +6,7 @@ recording the per-slot series the paper's figures plot (average delay,
 controller running time) plus regret and cache-churn diagnostics.
 """
 
-from repro.sim.config import UNSET, RunConfig, resolve_run_config
+from repro.sim.config import RunConfig
 from repro.sim.engine import run_simulation
 from repro.sim.failures import FailureSchedule, run_with_failures
 from repro.sim.metrics import SimulationResult, SlotRecord
@@ -19,16 +19,11 @@ from repro.sim.multirun import (
     run_repetitions,
 )
 from repro.sim.parallel import (
-    ParallelRunner,
     RepetitionFailure,
-    WorkItem,
+    Sweep,
     WorkResult,
-    build_world,
-    load_work_result,
-    make_worker_pool,
-    persist_work_result,
     resolve_n_jobs,
-    run_item_on_world,
+    run_sweeps,
 )
 from repro.state import CheckpointConfig, CheckpointError, SweepManifest
 
@@ -37,8 +32,6 @@ __all__ = [
     "CheckpointError",
     "RunConfig",
     "SweepManifest",
-    "UNSET",
-    "resolve_run_config",
     "run_simulation",
     "FailureSchedule",
     "run_with_failures",
@@ -48,16 +41,11 @@ __all__ = [
     "PairedComparison",
     "RepetitionStudy",
     "RepetitionFailure",
-    "ParallelRunner",
-    "WorkItem",
+    "Sweep",
     "WorkResult",
     "aggregate_work_results",
-    "build_world",
     "compare_controllers",
-    "load_work_result",
-    "make_worker_pool",
-    "persist_work_result",
-    "run_item_on_world",
     "run_repetitions",
+    "run_sweeps",
     "resolve_n_jobs",
 ]

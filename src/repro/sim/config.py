@@ -1,16 +1,12 @@
 """One run configuration for every execution entry point.
 
-Before this module, each entry point spelt the same concepts
-differently: ``run_simulation`` took ``checkpoint=CheckpointConfig(...)``
-while ``run_repetitions`` took ``checkpoint_dir=...``; worker counts
-were ``n_jobs`` here and ``--jobs`` on the CLI; retry bounds were
-``max_retries``.  :class:`RunConfig` is the single spelling — **one
-documented name per concept** — accepted by :func:`repro.sim.run_simulation`,
-:func:`repro.sim.run_repetitions` and :func:`repro.campaigns.run_campaign`
-through a ``config=`` parameter:
+:class:`RunConfig` is the single spelling — **one documented name per
+concept** — of the execution knobs, accepted by
+:func:`repro.sim.run_simulation`, :func:`repro.sim.run_repetitions` and
+:func:`repro.campaigns.run_campaign` through a ``config=`` parameter:
 
 =================  ==============================================
-canonical name     concept
+name               concept
 =================  ==============================================
 ``jobs``           worker count (``None``/``0`` = all cores,
                    negative = joblib-style count-back)
@@ -19,52 +15,18 @@ canonical name     concept
 ``checkpoint_dir``   snapshot directory
 ``checkpoint_every`` slot-level snapshot cadence
 ``resume``           restore-and-continue switch
-``scheduler``        campaign execution engine (campaigns only)
 =================  ==============================================
-
-The old spellings (``checkpoint=CheckpointConfig(...)``, ``n_jobs=``,
-``max_retries=``) still work as keyword aliases but raise a
-:class:`DeprecationWarning`; passing both ``config=`` and a deprecated
-alias is a :class:`TypeError` (two sources of truth for the same knob is
-exactly the bug this module removes).  :func:`resolve_run_config` is the
-shared funnel every entry point routes through.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Optional, Union
 
 from repro.state import CheckpointConfig
 
-__all__ = ["UNSET", "RunConfig", "resolve_run_config"]
-
-
-class _Unset:
-    """Sentinel distinguishing "not passed" from meaningful ``None``.
-
-    ``n_jobs=None`` means "all cores", so ``None`` cannot mark an absent
-    deprecated kwarg — this singleton does.
-    """
-
-    _instance: Optional["_Unset"] = None
-
-    def __new__(cls) -> "_Unset":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNSET"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-#: The "argument not passed" sentinel used by deprecated-alias kwargs.
-UNSET = _Unset()
+__all__ = ["RunConfig"]
 
 #: Default slot-level snapshot cadence when only a directory is given
 #: (mirrors :class:`repro.state.CheckpointConfig`'s default).
@@ -80,26 +42,22 @@ class RunConfig:
     jobs:
         Worker count.  ``1`` (default) runs in-process; ``None`` or
         ``0`` means all cores; negative counts back joblib-style
-        (``-1`` == all cores).  Replaces the ``n_jobs`` kwarg.
+        (``-1`` == all cores).
     retries:
         Bounded re-execution rounds for crashed work items before they
-        are recorded as failures.  Replaces ``max_retries``.
+        are recorded as failures.
     collect_metrics:
         Tri-state telemetry switch: ``True`` records :mod:`repro.obs`
         telemetry per work item, ``False`` keeps it off unconditionally,
         ``None`` (default) auto-enables when a registry is active.
     checkpoint_dir:
-        Snapshot directory; enables checkpointing when set.  Replaces
-        both ``checkpoint_dir=`` and ``checkpoint=CheckpointConfig(directory=...)``.
+        Snapshot directory; enables checkpointing when set.
     checkpoint_every:
         Slot-level snapshot cadence inside each run; ``None`` defers to
         the subsystem default (10) when ``checkpoint_dir`` is set.
     resume:
         Restore an existing snapshot and continue; always safe to pass
         (a missing snapshot starts from scratch).
-    scheduler:
-        Campaign execution engine (``"auto"``/``"global"``/``"cell"``);
-        only :func:`repro.campaigns.run_campaign` reads it.
     """
 
     jobs: Optional[int] = 1
@@ -108,7 +66,6 @@ class RunConfig:
     checkpoint_dir: Optional[Union[str, Path]] = None
     checkpoint_every: Optional[int] = None
     resume: bool = False
-    scheduler: str = "auto"
 
     def __post_init__(self) -> None:
         # No cross-field constraints on purpose: ``resume`` without a
@@ -138,103 +95,13 @@ class RunConfig:
 
     @classmethod
     def from_checkpoint_config(
-        cls, checkpoint: Optional[CheckpointConfig], **overrides: Any
+        cls, checkpoint: Optional[CheckpointConfig]
     ) -> "RunConfig":
-        """Lift a legacy :class:`CheckpointConfig` into a run config."""
+        """Lift a :class:`CheckpointConfig` (e.g. one item's slot policy)."""
         if checkpoint is None:
-            return cls(**overrides)
+            return cls()
         return cls(
             checkpoint_dir=checkpoint.directory,
             checkpoint_every=checkpoint.every_n_slots,
             resume=checkpoint.resume,
-            **overrides,
         )
-
-
-def _canonical_value(name: str, value: Any) -> Tuple[str, Any]:
-    """Map one deprecated kwarg to its ``(canonical_field, value)``."""
-    if name == "n_jobs":
-        return "jobs", value
-    if name == "max_retries":
-        return "retries", value
-    if name == "checkpoint":
-        raise AssertionError("'checkpoint' is expanded by the caller")
-    # checkpoint_dir / checkpoint_every / resume / collect_metrics kept
-    # their names; only the calling convention (config=) changed.
-    return name, value
-
-
-def resolve_run_config(
-    where: str,
-    config: Optional[RunConfig],
-    deprecated: Mapping[str, Any],
-    *,
-    default: Optional[RunConfig] = None,
-) -> RunConfig:
-    """Merge a ``config=`` argument with any deprecated alias kwargs.
-
-    ``deprecated`` maps old kwarg names to their passed values, with
-    :data:`UNSET` marking "not passed" (``None`` stays meaningful —
-    ``n_jobs=None`` requests all cores).  Every explicitly-passed alias
-    raises a :class:`DeprecationWarning` naming the canonical spelling;
-    mixing ``config=`` with any alias raises :class:`TypeError` — one
-    source of truth per knob.
-
-    ``where`` names the entry point in the warning text.  ``default``
-    seeds the result when neither source provides a value (entry points
-    keep their historical defaults this way).
-    """
-    passed = {
-        name: value
-        for name, value in deprecated.items()
-        # An explicit ``checkpoint=None`` is the old spelling of "no
-        # checkpointing" — treat it as not passed rather than warning on
-        # a no-op.
-        if value is not UNSET and not (name == "checkpoint" and value is None)
-    }
-    if config is not None and passed:
-        raise TypeError(
-            f"{where}() got both config= and deprecated keyword(s) "
-            f"{sorted(passed)}; move them into RunConfig"
-        )
-    if config is not None:
-        return config
-    result = default if default is not None else RunConfig()
-    if not passed:
-        return result
-    updates: Dict[str, Any] = {}
-    for name, value in passed.items():
-        if name == "checkpoint":
-            if value is not None:
-                updates["checkpoint_dir"] = value.directory
-                updates["checkpoint_every"] = value.every_n_slots
-                updates["resume"] = value.resume
-            warnings.warn(
-                f"{where}(checkpoint=CheckpointConfig(...)) is deprecated; "
-                f"pass config=RunConfig(checkpoint_dir=..., "
-                f"checkpoint_every=..., resume=...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            continue
-        canonical, mapped = _canonical_value(name, value)
-        updates[canonical] = mapped
-        if canonical != name:
-            warnings.warn(
-                f"{where}({name}=...) is deprecated; pass "
-                f"config=RunConfig({canonical}=...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        else:
-            warnings.warn(
-                f"{where}({name}=...) as a bare keyword is deprecated; "
-                f"pass config=RunConfig({name}=...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-    valid = {f.name for f in fields(RunConfig)}
-    unknown = set(updates) - valid
-    if unknown:
-        raise TypeError(f"{where}() got unknown run option(s) {sorted(unknown)}")
-    return replace(result, **updates)

@@ -7,10 +7,11 @@ normal-approximation confidence interval, plus a paired comparison helper
 (:func:`compare_controllers`) that reports whether one controller beats
 another consistently across seeds (sign test + paired mean difference).
 
-Execution is delegated to :class:`repro.sim.parallel.ParallelRunner`:
-``n_jobs=1`` (default) runs in-process, ``n_jobs>1`` fans the
-``(repetition, controller)`` grid over a process pool with bit-identical
-results (see :mod:`repro.sim.parallel` for the determinism argument).
+Execution is delegated to the engine in :mod:`repro.sim.parallel` as one
+:class:`~repro.sim.parallel.Sweep`: ``jobs=1`` (default) runs in-process,
+``jobs>1`` fans the ``(repetition, controller)`` grid over a process pool
+with bit-identical results (see :mod:`repro.sim.parallel` for the
+determinism argument).
 Crashed repetitions are recorded in :attr:`RepetitionStudy.failures` and
 excluded from the summaries instead of killing the study.
 """
@@ -20,21 +21,23 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import stats as scipy_stats
 
 from repro.obs import MetricsRegistry
-from repro.sim.config import UNSET, RunConfig, resolve_run_config
+from repro.sim.config import RunConfig
 from repro.sim.failures import FailureSchedule
 from repro.sim.metrics import SimulationResult
 from repro.sim.parallel import (
-    ParallelRunner,
     RepetitionFailure,
     ScenarioBuilder,
+    Sweep,
     WorkResult,
+    resolve_n_jobs,
+    run_sweeps,
 )
 from repro.utils.validation import require_open_probability, require_positive
 
@@ -248,14 +251,13 @@ def aggregate_work_results(
     """Aggregate a stream of work items into a :class:`RepetitionStudy`.
 
     The single summarisation path shared by :func:`run_repetitions` and
-    the campaign-wide scheduler (:mod:`repro.campaigns.scheduler`):
-    whoever executed the ``(repetition, controller)`` grid, the same
-    per-controller metric summaries (``mean_delay_ms``,
-    ``mean_decision_s``, ``total_churn``) come out of the same work-item
-    stream — which is what makes scheduler summaries bit-identical to the
-    sequential path's.  ``work_results`` may arrive in any order; items
-    are sorted into the serial ``(repetition, controller)`` iteration
-    order first.  Failed items are recorded in the study's ``failures``
+    :func:`repro.campaigns.run_campaign`: however the ``(repetition,
+    controller)`` grid was executed, the same per-controller metric
+    summaries (``mean_delay_ms``, ``mean_decision_s``, ``total_churn``)
+    come out of the same work-item stream — which is what makes them
+    bit-identical across worker counts and resumes.  ``work_results``
+    may arrive in any order; items are sorted into the serial
+    ``(repetition, controller)`` iteration order first.  Failed items are recorded in the study's ``failures``
     and excluded; when *every* item failed, a :class:`RuntimeError`
     carries the first traceback.  ``n_jobs`` and ``wall_clock_seconds``
     only fill the study's execution accounting.
@@ -362,12 +364,6 @@ def run_repetitions(
     config: Optional[RunConfig] = None,
     n_controllers: Optional[int] = None,
     failures: Optional[FailureSchedule] = None,
-    n_jobs: object = UNSET,
-    collect_metrics: object = UNSET,
-    max_retries: object = UNSET,
-    checkpoint_dir: object = UNSET,
-    checkpoint_every: object = UNSET,
-    resume: object = UNSET,
 ) -> RepetitionStudy:
     """Run ``build`` across ``repetitions`` seeds and aggregate metrics.
 
@@ -392,24 +388,17 @@ def run_repetitions(
       (default) auto-enables collection when a registry is active in
       the calling process; ``False`` keeps collection off
       unconditionally, active registry or not.
-    * ``retries`` re-executes crashed work items (bounded rounds, fresh
-      workers) before recording them as failures; ``checkpoint_dir`` /
-      ``resume`` persist completed items so an interrupted sweep
-      restarted with ``resume=True`` executes only the missing
-      repetitions, and ``checkpoint_every`` adds slot-level snapshots
-      inside each item — all passed through to
-      :meth:`repro.sim.parallel.ParallelRunner.run`, which documents
-      the exact semantics.
+    * ``retries`` re-executes crashed work items (bounded rounds) before
+      recording them as failures; ``checkpoint_dir`` / ``resume``
+      persist completed items so an interrupted sweep restarted with
+      ``resume=True`` executes only the missing items, and
+      ``checkpoint_every`` adds slot-level snapshots inside each item —
+      see :func:`repro.sim.parallel.run_sweeps` for the exact semantics.
 
-    The pre-``RunConfig`` keywords (``n_jobs``, ``collect_metrics``,
-    ``max_retries``, ``checkpoint_dir``, ``checkpoint_every``,
-    ``resume``) still work but raise :class:`DeprecationWarning`; mixing
-    them with ``config=`` is a :class:`TypeError`.
+    ``n_controllers`` (optional) lets a crashed world build be recorded
+    as one failure per controller instead of a single failed item.
 
-    ``n_controllers`` (optional) skips the probe build the pool path
-    otherwise needs to size its work grid.
-
-    A repetition that raises is recorded in the study's ``failures`` with
+    A work item that raises is recorded in the study's ``failures`` with
     its traceback and excluded from the summaries; the count is logged.
 
     ``failures`` applies one scripted
@@ -425,47 +414,32 @@ def run_repetitions(
         raise ValueError(
             f"skip_warmup ({skip_warmup}) must be below horizon ({horizon})"
         )
-    run_config = resolve_run_config(
-        "run_repetitions",
-        config,
-        {
-            "n_jobs": n_jobs,
-            "collect_metrics": collect_metrics,
-            "max_retries": max_retries,
-            "checkpoint_dir": checkpoint_dir,
-            "checkpoint_every": checkpoint_every,
-            "resume": resume,
-        },
-    )
-
-    runner = ParallelRunner(n_jobs=run_config.jobs)
+    config = config if config is not None else RunConfig()
+    workers = resolve_n_jobs(config.jobs)
     wall_start = time.perf_counter()
-    work_results: List[WorkResult] = runner.run(
-        build,
-        seed=seed,
-        repetitions=repetitions,
-        horizon=horizon,
-        demands_known=demands_known,
-        n_controllers=n_controllers,
-        # Tri-state forwarded verbatim: an explicit False must stay off
-        # even when a parent obs registry is active (the old
-        # ``collect_metrics or None`` silently re-enabled it).
-        collect_metrics=run_config.collect_metrics,
-        failures=failures,
-        max_retries=run_config.retries,
-        checkpoint_dir=run_config.checkpoint_dir,
-        checkpoint_every=run_config.checkpoint_every,
-        resume=run_config.resume,
+    [work_results] = run_sweeps(
+        [
+            Sweep(
+                build,
+                seed=seed,
+                repetitions=repetitions,
+                horizon=horizon,
+                demands_known=demands_known,
+                failures=failures,
+                directory=config.checkpoint_dir,
+                n_controllers=n_controllers,
+            )
+        ],
+        config=replace(config, jobs=workers),
     )
-    wall_clock = time.perf_counter() - wall_start
     return aggregate_work_results(
         work_results,
         horizon=horizon,
         repetitions=repetitions,
         confidence=confidence,
         skip_warmup=skip_warmup,
-        n_jobs=runner.n_jobs,
-        wall_clock_seconds=wall_clock,
+        n_jobs=workers,
+        wall_clock_seconds=time.perf_counter() - wall_start,
     )
 
 

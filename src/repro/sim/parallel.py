@@ -1,32 +1,46 @@
-"""Process-parallel repetition execution (the many-seed evaluation engine).
+"""The one execution engine for repetition studies, figures and campaigns.
 
 Every figure in the paper is an average over 80 independently seeded
-topologies (§VI), and the serial loop in :mod:`repro.sim.multirun` was the
-single biggest wall-clock cost of regenerating them.  This module fans the
-``(repetition, controller)`` grid of a repetition study out over a
-:class:`concurrent.futures.ProcessPoolExecutor` while keeping the results
-**bit-identical** to the serial path:
+topologies (§VI), and a campaign is a grid of such studies.  Both run
+through :func:`run_sweeps`, which takes a list of :class:`Sweep` specs and
+drains all of their ``(repetition, controller)`` grids through one queue
+while keeping results **bit-identical** for any worker count:
 
 * every repetition derives its own :class:`~repro.utils.seeding.RngRegistry`
-  via ``RngRegistry(seed).child(f"rep{r}")`` — the worker rebuilds the
-  repetition's world from that registry, and because all delay/demand
-  realisations are slot-keyed (functions of ``(seed, slot)`` only, never of
-  sampling order) a rebuilt world realises exactly the same trajectories as
-  the shared serial world;
-* each controller reads its own named stream from the registry, so running
-  controller ``j`` alone in a worker consumes exactly the state it would
-  have consumed in the serial loop.
+  via ``RngRegistry(seed).child(f"rep{r}")`` (:func:`repetition_registry`),
+  and because all delay/demand realisations are slot-keyed (functions of
+  ``(seed, slot)`` only, never of sampling order) a rebuilt world
+  realises exactly the same trajectories as any other build of it;
+* each controller reads its own named stream from the registry, so
+  running controller ``j`` on its own consumes exactly the state it
+  would have consumed next to its siblings.
 
-Failure semantics: a repetition that raises is captured as a
-:class:`RepetitionFailure` (message + traceback + work-item coordinates)
-and excluded from aggregation instead of killing the study; the caller
-logs the count.  Hard worker deaths (segfault, OOM-kill) still propagate
-as :class:`concurrent.futures.process.BrokenProcessPool` — those are
-infrastructure errors, not scenario errors.
+**Units.**  The unfinished items of one ``(sweep, repetition)`` form one
+dispatch unit: the executing process builds the world once and runs
+every controller index of it that is not yet done.  Units are enqueued
+longest-sweep-first, every completed item is streamed to the sweep's
+directory as it lands, and a sweep's ``on_complete`` hook fires the
+moment its grid is done.  Each executing process keeps a small LRU of
+built worlds (``campaign.world_cache_hits`` / ``_misses``), reused only
+for controller indices that have not yet run on the cached build.
 
-The scenario builder must be picklable (a module-level function, a
-``functools.partial`` of one, or an instance of a picklable callable
-class) because it is shipped to worker processes.
+**Execution.**  ``jobs=1`` drains the queue in-process through an
+executor that returns completed futures — no pickling, and item
+registries inherit the parent's trace writer.  Otherwise one persistent
+process pool drains it; idle workers take the next unit whatever its
+sweep (``campaign.items_stolen``).  The same bounded retry rounds serve
+both, replacing a broken pool when a worker died hard.
+
+Failure semantics: a work item that raises is captured as a
+:class:`RepetitionFailure` (message + traceback + coordinates) and
+excluded from aggregation instead of killing the study.  Without
+retries, hard worker deaths (segfault, OOM-kill) propagate as
+:class:`concurrent.futures.process.BrokenProcessPool` — infrastructure
+errors, not scenario errors.
+
+Scenario builders must be picklable for ``jobs != 1`` (a module-level
+function, a ``functools.partial`` of one, or an instance of a picklable
+callable class) because units carry them to worker processes.
 """
 
 from __future__ import annotations
@@ -36,10 +50,21 @@ import multiprocessing
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, replace
+from collections import OrderedDict
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro import obs
 from repro.core.controller import Controller
@@ -59,24 +84,19 @@ from repro.state import (
     save_checkpoint,
 )
 from repro.utils.seeding import RngRegistry
-from repro.utils.validation import require_non_negative, require_positive
+from repro.utils.validation import require_positive
 from repro.workload.demand import DemandModel
 
 __all__ = [
     "ScenarioBuilder",
+    "Sweep",
     "World",
     "WorkItem",
     "WorkResult",
     "RepetitionFailure",
-    "ParallelRunner",
     "resolve_n_jobs",
     "repetition_registry",
-    "build_world",
-    "run_item_on_world",
-    "persist_work_result",
-    "load_work_result",
-    "controller_names_from_results",
-    "make_worker_pool",
+    "run_sweeps",
 ]
 
 logger = logging.getLogger(__name__)
@@ -107,9 +127,8 @@ def make_worker_pool(n_workers: int) -> ProcessPoolExecutor:
     """A fork-preferring process pool whose workers carry the nested-
     parallelism marker (see :func:`resolve_n_jobs`).
 
-    All repro-owned pools — :class:`ParallelRunner`'s per-sweep pool and
-    the campaign-wide scheduler's persistent pool — are created through
-    this factory so the oversubscription guard holds everywhere.
+    :func:`run_sweeps` creates every repro-owned pool through this
+    factory, so the oversubscription guard holds everywhere.
     """
     require_positive("n_workers", n_workers)
     return ProcessPoolExecutor(
@@ -122,8 +141,8 @@ def make_worker_pool(n_workers: int) -> ProcessPoolExecutor:
 def repetition_registry(seed: int, repetition: int) -> RngRegistry:
     """The canonical per-repetition registry: ``child(f"rep{r}")``.
 
-    Both the serial and the parallel paths derive repetition worlds through
-    this single helper, which is what makes their results bit-identical.
+    Every world is derived through this single helper, which is what makes
+    results bit-identical across worker counts.
     """
     return RngRegistry(seed=seed).child(f"rep{repetition}")
 
@@ -242,9 +261,8 @@ def _item_checkpoint(
 def build_world(build: ScenarioBuilder, seed: int, repetition: int) -> World:
     """Build one repetition's world from its canonical registry.
 
-    Thin composition of ``build`` with :func:`repetition_registry`; both
-    execution paths (per-item rebuilds and shared-world batches) go
-    through it, so a world is always derived the same way.
+    Thin composition of ``build`` with :func:`repetition_registry`, so a
+    world is always derived the same way.
     """
     return build(repetition_registry(seed, repetition))
 
@@ -262,12 +280,12 @@ def run_item_on_world(
 ) -> WorkResult:
     """Run one controller of an already-built world; never raises.
 
-    The reusable core of every execution path: all exceptions are
-    converted to a failed :class:`WorkResult` so one bad item cannot kill
-    a study.  Because world realisations are slot-keyed and controller
-    streams name-keyed, running item ``j`` on a shared world build is
-    observationally identical to running it on a fresh rebuild — which is
-    what lets callers batch several items of one repetition onto one
+    The core of every dispatch unit: all exceptions are converted to a
+    failed :class:`WorkResult` so one bad item cannot kill a study.
+    Because world realisations are slot-keyed and controller streams
+    name-keyed, running item ``j`` on a shared world build is
+    observationally identical to running it on a fresh rebuild — which
+    is what lets a unit run several items of one repetition on one
     build.  With ``collect_metrics`` the item records into a fresh
     :class:`repro.obs.MetricsRegistry` whose snapshot rides back on the
     :class:`WorkResult` (plain dict — picklable); ``trace`` threads a
@@ -316,55 +334,6 @@ def run_item_on_world(
         cpu_seconds=time.process_time() - cpu_start,
         metrics=registry.snapshot() if registry is not None else None,
         pid=os.getpid(),
-    )
-
-
-def _execute_work_item(
-    build: ScenarioBuilder,
-    seed: int,
-    item: WorkItem,
-    horizon: int,
-    demands_known: bool,
-    collect_metrics: bool = False,
-    checkpoint: Optional[CheckpointConfig] = None,
-    failures: Optional[FailureSchedule] = None,
-) -> WorkResult:
-    """Rebuild the repetition's world and run one controller over it.
-
-    The pool path's per-item entry point: :func:`build_world` +
-    :func:`run_item_on_world`, with the build time folded into the item's
-    wall/CPU accounting (each item pays its own rebuild here).  A build
-    crash is reported as a failed :class:`WorkResult` for this item.
-    """
-    wall_start = time.perf_counter()
-    cpu_start = time.process_time()
-    try:
-        world = build_world(build, seed, item.repetition)
-    except Exception as exc:  # noqa: BLE001 — graceful degradation by design
-        return WorkResult(
-            repetition=item.repetition,
-            controller_index=item.controller_index,
-            controller_name=None,
-            result=None,
-            error=f"{type(exc).__name__}: {exc}",
-            error_traceback=traceback.format_exc(),
-            wall_seconds=time.perf_counter() - wall_start,
-            cpu_seconds=time.process_time() - cpu_start,
-            pid=os.getpid(),
-        )
-    item_result = run_item_on_world(
-        world,
-        item,
-        horizon,
-        demands_known=demands_known,
-        collect_metrics=collect_metrics,
-        checkpoint=checkpoint,
-        failures=failures,
-    )
-    return replace(
-        item_result,
-        wall_seconds=time.perf_counter() - wall_start,
-        cpu_seconds=time.process_time() - cpu_start,
     )
 
 
@@ -434,357 +403,483 @@ def controller_names_from_results(
     return names
 
 
-class ParallelRunner:
-    """Fan a repetition study's work items over a process pool.
+@dataclass(frozen=True)
+class Sweep:
+    """One repetition study: ``repetitions`` seeded worlds of ``build``.
 
-    Parameters
-    ----------
-    n_jobs:
-        Worker processes.  ``1`` executes in-process (no pool, no pickling
-        requirement on the builder); ``None``/``0`` uses every core;
-        negative counts back from the core count.  See
-        :func:`resolve_n_jobs`.
-
-    The runner is stateless across :meth:`run` calls and safe to reuse.
+    ``directory`` persists every completed item next to a sweep manifest
+    (see :mod:`repro.state.manifest`); it is also where a resumed run
+    reads completed items back from.  ``n_controllers``, when known,
+    lets a crashed world build fail every pending controller of its
+    repetition; without it the crash is reported as one item, because
+    the controller count is unknowable when ``build`` raises.
     """
 
-    def __init__(self, n_jobs: Optional[int] = 1):
-        self.n_jobs = resolve_n_jobs(n_jobs)
+    build: ScenarioBuilder
+    seed: int
+    repetitions: int
+    horizon: int
+    demands_known: bool = True
+    failures: Optional[FailureSchedule] = None
+    directory: Optional[Path] = None
+    n_controllers: Optional[int] = None
 
-    # ------------------------------------------------------------------ #
+    def __post_init__(self) -> None:
+        require_positive("repetitions", self.repetitions)
+        require_positive("horizon", self.horizon)
+        if self.n_controllers is not None:
+            require_positive("n_controllers", self.n_controllers)
+        if self.directory is not None:
+            object.__setattr__(self, "directory", Path(self.directory))
 
-    def run(
-        self,
-        build: ScenarioBuilder,
-        seed: int,
-        repetitions: int,
-        horizon: int,
-        *,
-        demands_known: bool = True,
-        n_controllers: Optional[int] = None,
-        collect_metrics: Optional[bool] = None,
-        failures: Optional[FailureSchedule] = None,
-        max_retries: int = 0,
-        checkpoint_dir: Optional[Union[str, Path]] = None,
-        checkpoint_every: Optional[int] = None,
-        resume: bool = False,
-    ) -> List[WorkResult]:
-        """Execute the full repetition × controller grid.
 
-        Returns one :class:`WorkResult` per work item, sorted by
-        ``(repetition, controller_index)`` — the serial iteration order —
-        regardless of completion order.  ``n_controllers`` skips the probe
-        build when the caller already knows the controller count (building
-        a scenario can be expensive, e.g. GAN pretraining).
+@dataclass(frozen=True)
+class _Unit:
+    """One dispatch unit: the unfinished items of one ``(sweep, repetition)``.
 
-        ``collect_metrics`` attaches a per-item telemetry snapshot to every
-        :class:`WorkResult` (see :mod:`repro.obs`).  The default ``None``
-        auto-enables collection when a registry is active in the calling
-        process (e.g. the CLI's ``--metrics-out``); item snapshots are then
-        also merged into that registry, so parent-side telemetry works the
-        same for serial and pooled execution.  An explicit ``False`` keeps
-        collection off even under an active registry.
+    Self-contained and picklable: a worker needs nothing but the unit to
+    rebuild the repetition's world and run it.  Every controller index of
+    the built world that is not in ``done`` runs.
+    """
 
-        ``failures`` applies one scripted
-        :class:`~repro.sim.failures.FailureSchedule` inside every work
-        item's simulation (scripted outages are part of the scenario, so
-        the same schedule runs in every repetition; it must be picklable
-        for the pool path).
+    index: int
+    sweep: Sweep
+    repetition: int
+    done: FrozenSet[int]
+    collect_metrics: bool
+    checkpoint_every: Optional[int]
 
-        ``max_retries`` bounds crash-tolerant retry rounds: after a round,
-        every failed item is re-executed — in the pool path on the *same*
-        persistent pool (a broken pool, surfacing as
-        ``BrokenProcessPool``, is replaced by a fresh one so hard worker
-        deaths are retried too), in the serial path by rebuilding the
-        repetition's world.  Because worlds are slot-keyed and controller
-        streams name-keyed, a retried item reproduces exactly the result
-        an untroubled first attempt would have had.  With the default
-        ``0``, pool infrastructure errors propagate as before and
-        scenario failures stay recorded.
+    def pending(self, n_controllers: int) -> Tuple[int, ...]:
+        return tuple(i for i in range(n_controllers) if i not in self.done)
 
-        ``checkpoint_dir`` persists every completed item as a
-        ``work-result`` snapshot next to a sweep manifest (see
-        :mod:`repro.state.manifest`); ``resume=True`` loads the completed
-        items back (after a manifest identity check) and executes only the
-        missing ones, reproducing the uninterrupted study's statistics.
-        ``checkpoint_every`` additionally turns on the engine's slot-level
-        snapshots inside each item (every N completed slots, under
-        ``<checkpoint_dir>/slots/``), so a killed or retried item resumes
-        mid-horizon instead of replaying from slot 0; it requires
-        ``checkpoint_dir``.
+    def crashed(
+        self, exc: Exception, wall: float, cpu: float, pid: int
+    ) -> "_UnitOutcome":
+        """The outcome of a unit whose world was never built.
+
+        Call it from the ``except`` block that caught ``exc`` (it records
+        the active traceback).  Without a controller count, the crash is
+        one item at the lowest index not yet done.
         """
-        require_positive("repetitions", repetitions)
-        require_positive("horizon", horizon)
-        require_non_negative("max_retries", max_retries)
-        if checkpoint_every is not None:
-            require_positive("checkpoint_every", checkpoint_every)
-            if checkpoint_dir is None:
-                raise ValueError("checkpoint_every requires checkpoint_dir")
-        parent_registry = obs.active_registry()
-        if collect_metrics is None:
-            collect_metrics = parent_registry is not None
-        sweep_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
-
-        by_key: Dict[Tuple[int, int], WorkResult] = {}
-        manifest: Optional[SweepManifest] = None
-        if sweep_dir is not None:
-            manifest = SweepManifest(
-                seed=int(seed),
-                repetitions=int(repetitions),
-                horizon=int(horizon),
-                demands_known=bool(demands_known),
-            )
-            if resume and SweepManifest.exists(sweep_dir):
-                SweepManifest.read(sweep_dir).require_compatible(manifest)
-                for (r, c), _path in sorted(completed_items(sweep_dir).items()):
-                    if r < repetitions:
-                        by_key[(r, c)] = load_work_result(sweep_dir, r, c)
-            manifest.write(sweep_dir)
-        done: Set[Tuple[int, int]] = set(by_key)
-
-        pool: Optional[ProcessPoolExecutor] = None
-        pool_ok = True
-        try:
-            if self.n_jobs == 1:
-                executed = self._run_serial(
-                    build, seed, range(repetitions), horizon, demands_known,
-                    collect_metrics, done, sweep_dir, checkpoint_every,
-                    failures=failures,
+        error = f"{type(exc).__name__}: {exc}"
+        error_tb = traceback.format_exc()
+        if self.sweep.n_controllers is not None:
+            indices = self.pending(self.sweep.n_controllers)
+        else:
+            indices = (min(set(range(len(self.done) + 1)) - self.done),)
+        return _UnitOutcome(
+            results=tuple(
+                WorkResult(
+                    repetition=self.repetition,
+                    controller_index=index,
+                    controller_name=None,
+                    result=None,
+                    error=error,
+                    error_traceback=error_tb,
+                    wall_seconds=wall,
+                    cpu_seconds=cpu,
+                    pid=pid,
                 )
-            else:
-                if n_controllers is None:
-                    n_controllers = self._probe_controller_count(build, seed)
-                require_positive("n_controllers", n_controllers)
-                items = [
-                    WorkItem(repetition=r, controller_index=c)
-                    for r in range(repetitions)
-                    for c in range(n_controllers)
-                    if (r, c) not in done
-                ]
-                if items:
-                    pool = make_worker_pool(min(self.n_jobs, len(items)))
-                    executed, pool_ok = self._run_pool_items(
-                        pool, build, seed, items, horizon, demands_known,
-                        collect_metrics, sweep_dir, checkpoint_every,
-                        capture_pool_errors=max_retries > 0, failures=failures,
-                    )
-                else:
-                    executed = []
-            for item in executed:
-                by_key[(item.repetition, item.controller_index)] = item
+                for index in indices
+            ),
+            cache_hit=False,
+        )
 
-            for _round in range(max_retries):
-                failed = [r for r in by_key.values() if not r.ok]
+
+@dataclass(frozen=True)
+class _UnitOutcome:
+    """What a unit sends back: one :class:`WorkResult` per item it ran."""
+
+    results: Tuple[WorkResult, ...]
+    #: True when the executing process served the world from its cache.
+    cache_hit: bool
+
+
+# --------------------------------------------------------------------- #
+# Executing side (a pool worker, or the parent with jobs=1)
+# --------------------------------------------------------------------- #
+
+#: Worlds kept per process (LRU by sweep index).  Small on purpose: a
+#: world holds the full topology + requests + controller line-up, and
+#: units are dispatched sweep-major, so capacity beyond a few sweeps buys
+#: nothing.
+_WORLD_CACHE_CAPACITY = 4
+
+
+class _CachedWorld:
+    """One cached build plus the controller indices already run on it."""
+
+    __slots__ = ("repetition", "world", "used")
+
+    def __init__(self, repetition: int, world: World, used: Set[int]) -> None:
+        self.repetition = repetition
+        self.world = world
+        self.used = used
+
+
+_WORLD_CACHE: "OrderedDict[int, _CachedWorld]" = OrderedDict()
+
+
+def _cached_world(unit: _Unit) -> Tuple[World, Tuple[int, ...], bool]:
+    """The unit's world and pending indices, from the cache when reusable.
+
+    A cached build is only reusable for controller indices that have not
+    run on it yet: controllers are stateful, and re-running one on a
+    world it already consumed would continue from mutated state instead
+    of reproducing a fresh run (the retry path hits exactly this).
+    """
+    entry = _WORLD_CACHE.get(unit.index)
+    if entry is not None and entry.repetition == unit.repetition:
+        pending = unit.pending(len(entry.world[2]))
+        if not entry.used.intersection(pending):
+            entry.used.update(pending)
+            # _WORLD_CACHE is *designed* as per-process state: each pool
+            # worker keeps its own LRU of world builds, and outcomes are
+            # pure functions of the unit, so divergence between workers'
+            # caches cannot change results.
+            # repro: allow[MP002] -- intentional per-worker world-build LRU
+            _WORLD_CACHE.move_to_end(unit.index)
+            return entry.world, pending, True
+    world = build_world(unit.sweep.build, unit.sweep.seed, unit.repetition)
+    pending = unit.pending(len(world[2]))
+    # repro: allow[MP002] -- intentional per-worker world cache, see above
+    _WORLD_CACHE[unit.index] = _CachedWorld(unit.repetition, world, set(pending))
+    # repro: allow[MP002] -- intentional per-worker world cache, see above
+    _WORLD_CACHE.move_to_end(unit.index)
+    while len(_WORLD_CACHE) > _WORLD_CACHE_CAPACITY:
+        # repro: allow[MP002] -- intentional per-worker world cache, see above
+        _WORLD_CACHE.popitem(last=False)
+    return world, pending, False
+
+
+def _execute_unit(
+    unit: _Unit, trace: Optional["obs.TraceWriter"] = None
+) -> _UnitOutcome:
+    """Run every pending item of one unit on a single world build.
+
+    Never raises for scenario errors: a build crash fails the unit's
+    pending items (see :meth:`_Unit.crashed`), and item-level errors are
+    captured per item by :func:`run_item_on_world`, so one bad
+    controller cannot take its siblings down.  ``trace`` is the parent's
+    trace writer, passed only in-process (writers are not picklable).
+    """
+    wall_start = time.perf_counter()
+    cpu_start = time.process_time()
+    try:
+        world, pending, cache_hit = _cached_world(unit)
+    except Exception as exc:  # noqa: BLE001 — reported per item, never fatal
+        return unit.crashed(
+            exc,
+            time.perf_counter() - wall_start,
+            time.process_time() - cpu_start,
+            os.getpid(),
+        )
+    sweep = unit.sweep
+    results = []
+    for index in pending:
+        item = WorkItem(repetition=unit.repetition, controller_index=index)
+        results.append(
+            run_item_on_world(
+                world,
+                item,
+                sweep.horizon,
+                demands_known=sweep.demands_known,
+                collect_metrics=unit.collect_metrics,
+                checkpoint=_item_checkpoint(
+                    sweep.directory, item, unit.checkpoint_every
+                ),
+                failures=sweep.failures,
+                trace=trace,
+            )
+        )
+    return _UnitOutcome(results=tuple(results), cache_hit=cache_hit)
+
+
+class _InlineExecutor:
+    """The ``jobs=1`` executor: runs each submission at once, in-process.
+
+    It returns already-completed futures, so the engine drains the same
+    queue with the same retry code as for a pool, without pickling.  The
+    in-process world cache lives exactly as long as the executor: a later
+    call with the same sweep indices must rebuild its worlds.
+    """
+
+    def __init__(self) -> None:
+        _WORLD_CACHE.clear()
+
+    def submit(self, fn: Callable[..., _UnitOutcome], *args: object) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # noqa: BLE001 — re-raised by result()
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True) -> None:
+        _WORLD_CACHE.clear()
+
+
+# --------------------------------------------------------------------- #
+# Parent side
+# --------------------------------------------------------------------- #
+
+
+@dataclass
+class _SweepState:
+    """Parent-side execution state of one sweep."""
+
+    sweep: Sweep
+    manifest: Optional[SweepManifest]
+    #: (repetition, controller_index) -> result; starts with the items
+    #: loaded back on resume and grows as units stream in.
+    results: Dict[Tuple[int, int], WorkResult] = field(default_factory=dict)
+    #: Units submitted and not yet returned.
+    outstanding: int = 0
+    finished: bool = False
+
+    @classmethod
+    def open(cls, sweep: Sweep, resume: bool) -> "_SweepState":
+        """Write the sweep manifest; on resume, load completed items."""
+        if sweep.directory is None:
+            return cls(sweep=sweep, manifest=None)
+        manifest = SweepManifest(
+            seed=int(sweep.seed),
+            repetitions=int(sweep.repetitions),
+            horizon=int(sweep.horizon),
+            demands_known=bool(sweep.demands_known),
+        )
+        loaded: Dict[Tuple[int, int], WorkResult] = {}
+        if resume and SweepManifest.exists(sweep.directory):
+            SweepManifest.read(sweep.directory).require_compatible(manifest)
+            for (r, c), _path in sorted(completed_items(sweep.directory).items()):
+                if r < sweep.repetitions:
+                    loaded[(r, c)] = load_work_result(sweep.directory, r, c)
+        manifest.write(sweep.directory)
+        return cls(sweep=sweep, manifest=manifest, results=loaded)
+
+    def ordered(self) -> List[WorkResult]:
+        """Results in the serial ``(repetition, controller)`` order."""
+        return sorted(
+            self.results.values(),
+            key=lambda r: (r.repetition, r.controller_index),
+        )
+
+    def done(self, repetition: int) -> FrozenSet[int]:
+        return frozenset(
+            c for (r, c), item in self.results.items()
+            if r == repetition and item.ok
+        )
+
+    def unfinished(self) -> List[int]:
+        """Repetitions not known to be complete (first round)."""
+        n = self.sweep.n_controllers
+        return [
+            r for r in range(self.sweep.repetitions)
+            if n is None or len(self.done(r)) < n
+        ]
+
+    def failed(self) -> List[int]:
+        """Repetitions carrying a failed item (retry rounds)."""
+        return sorted({r for (r, _c), item in self.results.items() if not item.ok})
+
+
+def run_sweeps(
+    sweeps: Sequence[Sweep],
+    *,
+    config: Optional[RunConfig] = None,
+    on_complete: Optional[Callable[[int, List[WorkResult]], None]] = None,
+) -> List[List[WorkResult]]:
+    """Execute every sweep's ``(repetition, controller)`` grid; one queue.
+
+    Returns, per sweep, one :class:`WorkResult` per item sorted by
+    ``(repetition, controller_index)`` — the serial iteration order —
+    whatever order the items completed in.
+
+    ``config`` supplies the execution knobs:
+
+    * ``jobs`` — ``1`` drains the queue in-process (no pickling; item
+      registries inherit the parent's trace writer, so ``--trace`` is
+      complete); anything else drains it through one persistent process
+      pool of that many workers (the builders must be picklable).
+    * ``collect_metrics`` — tri-state: ``True`` attaches a telemetry
+      snapshot to every :class:`WorkResult` and merges it into the active
+      registry; ``None`` auto-enables when a registry is active; ``False``
+      keeps collection off.
+    * ``retries`` — bounded retry rounds: after a round every failed item
+      is re-executed on the same pool (a broken pool, surfacing as
+      ``BrokenProcessPool``, is replaced first, so hard worker deaths
+      are retried too).  Worlds are slot-keyed and controller streams
+      name-keyed, so a retried item reproduces exactly the result an
+      untroubled first attempt would have had.  With ``0``, pool
+      infrastructure errors propagate and scenario failures stay
+      recorded.
+    * ``resume`` — load the completed items of each sweep's directory
+      back (after a manifest identity check) and run only the rest.
+    * ``checkpoint_every`` — slot-level snapshots inside each item under
+      ``<directory>/slots/``, so a killed or retried item resumes
+      mid-horizon; every sweep then needs a ``directory``.
+
+    ``config.checkpoint_dir`` is not read: each sweep names its own
+    directory.  Units are enqueued longest-sweep-first (pending units ×
+    horizon), so big sweeps start first and small ones fill the tail.
+    ``on_complete(index, results)`` runs once per sweep when its grid is
+    done: as soon as its last unit lands with no failures, or after the
+    retry rounds otherwise.
+    """
+    config = config if config is not None else RunConfig()
+    sweeps = list(sweeps)
+    if config.checkpoint_every is not None and any(
+        sweep.directory is None for sweep in sweeps
+    ):
+        raise ValueError("checkpoint_every requires checkpoint_dir")
+    workers = resolve_n_jobs(config.jobs)
+    parent = obs.active_registry()
+    collect = (
+        parent is not None
+        if config.collect_metrics is None
+        else config.collect_metrics
+    )
+    trace = parent.trace if parent is not None and workers == 1 else None
+    states = [_SweepState.open(sweep, config.resume) for sweep in sweeps]
+    last_sweep_by_pid: Dict[int, int] = {}
+
+    def finish(index: int) -> None:
+        state = states[index]
+        state.finished = True
+        results = state.ordered()
+        if state.manifest is not None and state.sweep.directory is not None:
+            finalise_controllers(
+                state.sweep.directory,
+                state.manifest,
+                controller_names_from_results(results),
+            )
+        obs.inc("campaign.cells_completed")
+        if on_complete is not None:
+            on_complete(index, results)
+
+    def units(pick: Callable[[_SweepState], List[int]]) -> List[_Unit]:
+        """Units of every open sweep, longest-sweep-first (ties by index)."""
+        batches = [
+            [
+                _Unit(
+                    index=index,
+                    sweep=state.sweep,
+                    repetition=repetition,
+                    done=state.done(repetition),
+                    collect_metrics=collect,
+                    checkpoint_every=config.checkpoint_every,
+                )
+                for repetition in pick(state)
+            ]
+            for index, state in enumerate(states)
+            if not state.finished
+        ]
+        # A stable sort: sweeps of equal length keep their order.
+        batches.sort(
+            key=lambda batch: -len(batch) * batch[0].sweep.horizon if batch else 0
+        )
+        return [unit for batch in batches for unit in batch]
+
+    def handle(unit: _Unit, outcome: _UnitOutcome) -> None:
+        state = states[unit.index]
+        pid = outcome.results[0].pid if outcome.results else 0
+        if pid:
+            previous = last_sweep_by_pid.get(pid)
+            if previous is not None and previous != unit.index:
+                obs.inc("campaign.items_stolen", len(outcome.results))
+            last_sweep_by_pid[pid] = unit.index
+        if outcome.cache_hit:
+            obs.inc("campaign.world_cache_hits")
+        else:
+            obs.inc("campaign.world_cache_misses")
+        for item in outcome.results:
+            if state.sweep.directory is not None and item.ok:
+                persist_work_result(state.sweep.directory, item)
+            if parent is not None and item.metrics is not None:
+                parent.merge(obs.MetricsRegistry.from_snapshot(item.metrics))
+            state.results[(item.repetition, item.controller_index)] = item
+        state.outstanding -= 1
+        obs.gauge(
+            "campaign.cells_in_flight",
+            sum(1 for s in states if s.outstanding > 0),
+        )
+        # Stream the sweep out the moment its grid is clean; one carrying
+        # failures waits for the retry rounds so they can still amend it.
+        if state.outstanding == 0 and all(
+            item.ok for item in state.results.values()
+        ):
+            finish(unit.index)
+
+    def drain(
+        executor: Union[_InlineExecutor, ProcessPoolExecutor],
+        batch: List[_Unit],
+        capture: bool,
+    ) -> bool:
+        """Run ``batch``, handling outcomes as they land; True if pool ok."""
+        pool_ok = True
+
+        def outcome_of(future: Future, unit: _Unit) -> _UnitOutcome:
+            nonlocal pool_ok
+            try:
+                return future.result()
+            except Exception as exc:  # noqa: BLE001 — retried next round
+                if not capture:
+                    raise
+                pool_ok = False
+                return unit.crashed(exc, wall=0.0, cpu=0.0, pid=0)
+
+        for unit in batch:
+            states[unit.index].outstanding += 1
+        in_flight: Dict[Future, _Unit] = {}
+        for unit in batch:
+            future = executor.submit(_execute_unit, unit, trace)
+            if future.done():  # in-process: stream before the next unit
+                handle(unit, outcome_of(future, unit))
+            else:
+                in_flight[future] = unit
+        for future in as_completed(in_flight):
+            unit = in_flight[future]
+            handle(unit, outcome_of(future, unit))
+        return pool_ok
+
+    def executor_for(n_units: int) -> Union[_InlineExecutor, ProcessPoolExecutor]:
+        if workers == 1:
+            return _InlineExecutor()
+        return make_worker_pool(min(workers, n_units))
+
+    batch = units(_SweepState.unfinished)
+    obs.inc("campaign.units_dispatched", len(batch))
+    if batch:
+        executor = executor_for(len(batch))
+        try:
+            pool_ok = drain(executor, batch, capture=config.retries > 0)
+            for _round in range(config.retries):
+                failed = [
+                    item
+                    for state in states
+                    if not state.finished
+                    for item in state.results.values()
+                    if not item.ok
+                ]
                 if not failed:
                     break
                 obs.inc("sim.retries", len(failed))
-                if self.n_jobs == 1:
-                    # A serial build crash loses the whole repetition, so retry
-                    # at repetition granularity, skipping items already done.
-                    repetitions_to_retry = sorted({f.repetition for f in failed})
-                    done_now = {k for k, r in by_key.items() if r.ok}
-                    retried = self._run_serial(
-                        build, seed, repetitions_to_retry, horizon,
-                        demands_known, collect_metrics, done_now, sweep_dir,
-                        checkpoint_every, failures=failures,
-                    )
-                else:
-                    retry_items = [
-                        WorkItem(
-                            repetition=f.repetition,
-                            controller_index=f.controller_index,
-                        )
-                        for f in failed
-                    ]
-                    # Retries reuse the persistent pool; only a broken one
-                    # (hard worker death) is torn down and replaced.
-                    if pool is None or not pool_ok:
-                        if pool is not None:
-                            pool.shutdown(wait=False)
-                        pool = make_worker_pool(
-                            min(self.n_jobs, len(retry_items))
-                        )
-                        pool_ok = True
-                    retried, pool_ok = self._run_pool_items(
-                        pool, build, seed, retry_items, horizon, demands_known,
-                        collect_metrics, sweep_dir, checkpoint_every,
-                        capture_pool_errors=True, failures=failures,
-                    )
-                for item in retried:
-                    by_key[(item.repetition, item.controller_index)] = item
+                batch = units(_SweepState.failed)
+                # Retries reuse the persistent pool; only a broken one
+                # (hard worker death) is torn down and replaced.
+                if not pool_ok:
+                    executor.shutdown(wait=False)
+                    executor = executor_for(len(batch))
+                pool_ok = drain(executor, batch, capture=True)
         finally:
-            if pool is not None:
-                pool.shutdown()
+            executor.shutdown()
 
-        results = sorted(
-            by_key.values(), key=lambda r: (r.repetition, r.controller_index)
-        )
-        if sweep_dir is not None and manifest is not None:
-            self._finalise_manifest(sweep_dir, manifest, results)
-        if parent_registry is not None and collect_metrics:
-            for item in results:
-                if item.metrics is not None:
-                    parent_registry.merge(
-                        obs.MetricsRegistry.from_snapshot(item.metrics)
-                    )
-        return results
-
-    @staticmethod
-    def _finalise_manifest(
-        sweep_dir: Path, manifest: SweepManifest, results: List[WorkResult]
-    ) -> None:
-        """Record controller names in the manifest once they are known."""
-        finalise_controllers(
-            sweep_dir, manifest, controller_names_from_results(results)
-        )
-
-    def _run_pool_items(
-        self,
-        pool: ProcessPoolExecutor,
-        build: ScenarioBuilder,
-        seed: int,
-        items: Sequence[WorkItem],
-        horizon: int,
-        demands_known: bool,
-        collect_metrics: bool,
-        sweep_dir: Optional[Path],
-        checkpoint_every: Optional[int],
-        capture_pool_errors: bool,
-        failures: Optional[FailureSchedule] = None,
-    ) -> Tuple[List[WorkResult], bool]:
-        """Execute ``items`` on the given pool, persisting as they land.
-
-        Returns ``(results, pool_ok)``; ``pool_ok`` is ``False`` when a
-        submission failed at the pool level (``BrokenProcessPool``), which
-        tells the caller to replace the pool before the next round.  With
-        ``capture_pool_errors`` such failures are converted into failed
-        :class:`WorkResult` items instead of propagating, so a retry
-        round can resubmit them.
-        """
-        if not items:
-            return [], True
-        results: List[WorkResult] = []
-        pool_ok = True
-        futures = {
-            pool.submit(
-                _execute_work_item,
-                build,
-                seed,
-                item,
-                horizon,
-                demands_known,
-                collect_metrics,
-                _item_checkpoint(sweep_dir, item, checkpoint_every),
-                failures,
-            ): item
-            for item in items
-        }
-        for future in as_completed(futures):
-            item = futures[future]
-            if capture_pool_errors:
-                try:
-                    work_result = future.result()
-                except Exception as exc:  # noqa: BLE001 — retried next round
-                    pool_ok = False
-                    work_result = WorkResult(
-                        repetition=item.repetition,
-                        controller_index=item.controller_index,
-                        controller_name=None,
-                        result=None,
-                        error=f"{type(exc).__name__}: {exc}",
-                        error_traceback=traceback.format_exc(),
-                        wall_seconds=0.0,
-                        cpu_seconds=0.0,
-                        pid=0,
-                    )
-            else:
-                work_result = future.result()
-            if sweep_dir is not None and work_result.ok:
-                persist_work_result(sweep_dir, work_result)
-            results.append(work_result)
-        return results, pool_ok
-
-    # ------------------------------------------------------------------ #
-
-    def _run_serial(
-        self,
-        build: ScenarioBuilder,
-        seed: int,
-        repetition_indices: Sequence[int],
-        horizon: int,
-        demands_known: bool,
-        collect_metrics: bool,
-        done: Set[Tuple[int, int]],
-        sweep_dir: Optional[Path],
-        checkpoint_every: Optional[int] = None,
-        failures: Optional[FailureSchedule] = None,
-    ) -> List[WorkResult]:
-        """In-process execution, one world build per repetition.
-
-        Produces the same :class:`WorkResult` stream as the pool path:
-        world realisations are slot-keyed and controller streams are
-        name-keyed, so sharing one build across a repetition's controllers
-        is observationally identical to rebuilding per controller.  Each
-        item still gets its own telemetry registry, so the per-item
-        snapshots match the pool path's — but in-process the registries
-        inherit the parent's trace writer (pool workers cannot: writers
-        are not picklable), so a serial run yields a complete trace.
-        """
-        parent = obs.active_registry()
-        trace = parent.trace if parent is not None else None
-        results: List[WorkResult] = []
-        for repetition in repetition_indices:
-            wall_start = time.perf_counter()
-            cpu_start = time.process_time()
-            try:
-                world = build_world(build, seed, repetition)
-            except Exception as exc:  # noqa: BLE001
-                # The whole repetition is lost; report it as one failed
-                # item (the pool path reports one per controller, but the
-                # controller count is unknowable when build() crashes).
-                results.append(
-                    WorkResult(
-                        repetition=repetition,
-                        controller_index=0,
-                        controller_name=None,
-                        result=None,
-                        error=f"{type(exc).__name__}: {exc}",
-                        error_traceback=traceback.format_exc(),
-                        wall_seconds=time.perf_counter() - wall_start,
-                        cpu_seconds=time.process_time() - cpu_start,
-                        pid=os.getpid(),
-                    )
-                )
-                continue
-            for index in range(len(world[2])):
-                if (repetition, index) in done:
-                    continue
-                item = WorkItem(repetition=repetition, controller_index=index)
-                work_result = run_item_on_world(
-                    world,
-                    item,
-                    horizon,
-                    demands_known=demands_known,
-                    collect_metrics=collect_metrics,
-                    checkpoint=_item_checkpoint(
-                        sweep_dir, item, checkpoint_every
-                    ),
-                    failures=failures,
-                    trace=trace,
-                )
-                if sweep_dir is not None and work_result.ok:
-                    persist_work_result(sweep_dir, work_result)
-                results.append(work_result)
-        return results
-
-    @staticmethod
-    def _probe_controller_count(build: ScenarioBuilder, seed: int) -> int:
-        """Build repetition 0 once, in-parent, to size the work grid."""
-        rngs = repetition_registry(seed, 0)
-        _, _, controllers = build(rngs)
-        if not controllers:
-            raise ValueError("scenario builder returned no controllers")
-        return len(controllers)
+    # Whatever did not stream out above: sweeps whose items were all on
+    # disk already, and sweeps that kept failures past the retry budget.
+    for index, state in enumerate(states):
+        if not state.finished:
+            finish(index)
+    return [state.ordered() for state in states]
 
 
 def _preferred_context() -> Optional[multiprocessing.context.BaseContext]:

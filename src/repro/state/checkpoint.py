@@ -1,7 +1,8 @@
 """Checkpoint policy for a single simulation run.
 
-:class:`CheckpointConfig` is what callers hand to
-``repro.sim.run_simulation(..., checkpoint=...)``: a directory, a save
+:class:`CheckpointConfig` is the single-run form of
+``repro.sim.RunConfig``'s checkpoint knobs
+(:meth:`~repro.sim.RunConfig.to_checkpoint_config`): a directory, a save
 cadence and a resume switch.  The engine owns *what* goes into the
 snapshot (controller state, demand-model identity, the per-slot record
 series); this module owns *where* it lives and how often it is written,

@@ -17,10 +17,9 @@ lets users swap in the *real* NYC export, which has the same columns.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 

@@ -29,7 +29,7 @@ from repro.campaigns import (
     write_campaign_report,
 )
 from repro.cli import main as cli_main
-from repro.sim import run_repetitions
+from repro.sim import RunConfig, run_repetitions
 
 # A deliberately tiny world so each cell runs in well under a second.
 TINY = dict(
@@ -231,7 +231,7 @@ class TestRunAndResume:
         assert len(killed.executed) == 1 and len(killed.remaining) == 1
         assert not killed.complete
 
-        resumed = run_campaign(spec, tmp_path / "camp", resume=True)
+        resumed = run_campaign(spec, tmp_path / "camp", config=RunConfig(resume=True))
         assert resumed.executed == killed.remaining
         assert resumed.skipped == killed.executed
         assert resumed.complete
@@ -268,7 +268,7 @@ class TestRunAndResume:
         run_campaign(tiny_spec(), tmp_path / "camp", max_cells=0)
         other = tiny_spec(seed=12)
         with pytest.raises(CampaignError, match="different spec"):
-            run_campaign(other, tmp_path / "camp", resume=True)
+            run_campaign(other, tmp_path / "camp", config=RunConfig(resume=True))
 
     def test_status_tracks_cells(self, tmp_path):
         spec = tiny_spec()
@@ -276,7 +276,7 @@ class TestRunAndResume:
         status = campaign_status(tmp_path / "camp")
         assert status.n_complete == 1 and not status.complete
         assert "1/2 cells" in status.table()
-        run_campaign(spec, tmp_path / "camp", resume=True)
+        run_campaign(spec, tmp_path / "camp", config=RunConfig(resume=True))
         assert campaign_status(tmp_path / "camp", spec).complete
 
     def test_outages_applied(self, tmp_path):

@@ -1,32 +1,27 @@
 """The unified run configuration: one spelling per execution concept.
 
-Pins the API-redesign contract for ``config=RunConfig(...)`` across
+Pins the contract for ``config=RunConfig(...)`` across
 ``run_simulation`` / ``run_repetitions`` / ``run_with_failures`` /
-``run_campaign``:
-
-* every deprecated alias (``checkpoint=CheckpointConfig(...)``,
-  ``n_jobs``, ``max_retries``, bare ``checkpoint_dir``/``resume``/...)
-  still works, warns :class:`DeprecationWarning`, and produces results
-  identical to the canonical spelling;
-* mixing ``config=`` with an alias is a :class:`TypeError` — one source
-  of truth per knob;
-* ``checkpoint=None`` (the old "no checkpointing") stays silent.
+``run_campaign``: ``RunConfig`` is the only spelling of the execution
+knobs, and every removed pre-``RunConfig`` keyword (``checkpoint``,
+``n_jobs``, ``max_retries``, bare ``checkpoint_dir``/``resume``/...,
+``scheduler``) is a :class:`TypeError`.
 """
 
-import warnings
+from dataclasses import fields
 
-import numpy as np
 import pytest
 
+from repro.campaigns import CampaignSpec, ScenarioSpec, run_campaign
 from repro.mec.network import MECNetwork
 from repro.mec.requests import Request
 from repro.sim import (
-    UNSET,
     CheckpointConfig,
+    FailureSchedule,
     RunConfig,
-    resolve_run_config,
     run_repetitions,
     run_simulation,
+    run_with_failures,
 )
 from repro.utils.seeding import RngRegistry
 from repro.workload import BurstyDemandModel
@@ -81,7 +76,14 @@ class TestRunConfig:
         assert config.collect_metrics is None
         assert config.checkpoint_dir is None
         assert not config.resume
-        assert config.scheduler == "auto"
+        assert [f.name for f in fields(RunConfig)] == [
+            "jobs",
+            "retries",
+            "collect_metrics",
+            "checkpoint_dir",
+            "checkpoint_every",
+            "resume",
+        ]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="retries"):
@@ -112,57 +114,6 @@ class TestRunConfig:
         assert checkpoint.every_n_slots == 10  # subsystem default
 
 
-class TestResolveRunConfig:
-    def test_config_passes_through(self):
-        config = RunConfig(jobs=3)
-        resolved = resolve_run_config("f", config, {"n_jobs": UNSET})
-        assert resolved is config
-
-    def test_alias_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="config=RunConfig\\(jobs="):
-            resolved = resolve_run_config("f", None, {"n_jobs": 4})
-        assert resolved.jobs == 4
-        with pytest.warns(DeprecationWarning, match="retries"):
-            resolved = resolve_run_config("f", None, {"max_retries": 2})
-        assert resolved.retries == 2
-
-    def test_meaningful_none_survives_the_alias(self):
-        # n_jobs=None means "all cores" and must not read as "not passed"
-        with pytest.warns(DeprecationWarning):
-            resolved = resolve_run_config("f", None, {"n_jobs": None})
-        assert resolved.jobs is None
-
-    def test_checkpoint_alias_expands(self, tmp_path):
-        checkpoint = CheckpointConfig(
-            directory=tmp_path, every_n_slots=3, resume=True
-        )
-        with pytest.warns(DeprecationWarning, match="checkpoint=CheckpointConfig"):
-            resolved = resolve_run_config("f", None, {"checkpoint": checkpoint})
-        assert resolved.checkpoint_dir == checkpoint.directory
-        assert resolved.checkpoint_every == 3
-        assert resolved.resume
-
-    def test_explicit_checkpoint_none_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            resolved = resolve_run_config("f", None, {"checkpoint": None})
-        assert resolved == RunConfig()
-
-    def test_mixing_config_and_alias_raises(self):
-        with pytest.raises(TypeError, match="both config= and deprecated"):
-            resolve_run_config("f", RunConfig(), {"n_jobs": 2})
-
-    def test_default_seeds_the_result(self):
-        default = RunConfig(jobs=7, retries=1)
-        resolved = resolve_run_config("f", None, {"n_jobs": UNSET}, default=default)
-        assert resolved is default
-        with pytest.warns(DeprecationWarning):
-            resolved = resolve_run_config(
-                "f", None, {"max_retries": 3}, default=default
-            )
-        assert (resolved.jobs, resolved.retries) == (7, 3)
-
-
 class TestEntryPointEquivalence:
     def test_run_simulation_legacy_checkpoint_kwarg(self, tmp_path):
         network, model, controller = build_world()
@@ -172,16 +123,16 @@ class TestEntryPointEquivalence:
                 checkpoint_dir=tmp_path / "new", checkpoint_every=3
             ),
         )
+        assert canonical.horizon == HORIZON and (tmp_path / "new").exists()
         network, model, controller = build_world()
-        with pytest.warns(DeprecationWarning, match="run_simulation"):
-            legacy = run_simulation(
+        with pytest.raises(TypeError, match="checkpoint"):
+            run_simulation(
                 network, model, controller, HORIZON,
                 checkpoint=CheckpointConfig(
                     directory=tmp_path / "old", every_n_slots=3
                 ),
             )
-        np.testing.assert_array_equal(canonical.delays_ms, legacy.delays_ms)
-        assert (tmp_path / "new").exists() and (tmp_path / "old").exists()
+        assert not (tmp_path / "old").exists()
 
     def test_run_simulation_rejects_mixed_spellings(self, tmp_path):
         network, model, controller = build_world()
@@ -193,24 +144,68 @@ class TestEntryPointEquivalence:
             )
 
     def test_run_repetitions_n_jobs_alias(self):
-        canonical = run_repetitions(
-            scenario, seed=41, repetitions=2, horizon=4,
-            config=RunConfig(jobs=1),
-        )
-        with pytest.warns(DeprecationWarning, match="run_repetitions"):
-            legacy = run_repetitions(
+        with pytest.raises(TypeError, match="n_jobs"):
+            run_repetitions(
                 scenario, seed=41, repetitions=2, horizon=4, n_jobs=1
             )
-        assert (
-            canonical.summary("OL_GD", "mean_delay_ms").values
-            == legacy.summary("OL_GD", "mean_delay_ms").values
-        )
 
     def test_run_repetitions_checkpoint_dir_alias(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="bare keyword"):
-            study = run_repetitions(
+        with pytest.raises(TypeError, match="checkpoint_dir"):
+            run_repetitions(
                 scenario, seed=41, repetitions=1, horizon=4,
                 checkpoint_dir=tmp_path,
             )
-        assert study.repetitions == 1
-        assert any(tmp_path.iterdir())  # sweep snapshots landed
+        assert not any(tmp_path.iterdir())  # nothing ran
+
+
+def _call_run_simulation(tmp_path, **kwargs):
+    network, model, controller = build_world()
+    return run_simulation(network, model, controller, HORIZON, **kwargs)
+
+
+def _call_run_with_failures(tmp_path, **kwargs):
+    network, model, controller = build_world()
+    return run_with_failures(
+        network, model, controller, HORIZON, FailureSchedule(), **kwargs
+    )
+
+
+def _call_run_repetitions(tmp_path, **kwargs):
+    return run_repetitions(scenario, seed=41, repetitions=1, horizon=4, **kwargs)
+
+
+def _call_run_campaign(tmp_path, **kwargs):
+    spec = CampaignSpec(
+        name="tiny", seed=3, repetitions=1,
+        scenario=ScenarioSpec(
+            controllers=("Greedy_GD",), horizon=2, n_stations=8,
+            n_services=2, n_requests=4, n_hotspots=2,
+        ),
+    )
+    return run_campaign(spec, tmp_path / "camp", **kwargs)
+
+
+@pytest.mark.parametrize(
+    "entry, keyword",
+    [
+        (_call_run_simulation, "checkpoint"),
+        (_call_run_with_failures, "checkpoint"),
+        *[
+            (_call_run_repetitions, keyword)
+            for keyword in (
+                "n_jobs", "max_retries", "collect_metrics", "checkpoint_dir",
+                "checkpoint_every", "resume",
+            )
+        ],
+        *[
+            (_call_run_campaign, keyword)
+            for keyword in (
+                "n_jobs", "max_retries", "resume", "collect_metrics",
+                "scheduler",
+            )
+        ],
+    ],
+)
+def test_removed_keywords_raise_type_error(tmp_path, entry, keyword):
+    with pytest.raises(TypeError, match=keyword):
+        entry(tmp_path, **{keyword: None})

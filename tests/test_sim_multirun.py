@@ -7,7 +7,12 @@ from repro import obs
 from repro.core import GreedyController, OlGdController
 from repro.mec import DriftingDelay, MECNetwork
 from repro.mec.requests import Request
-from repro.sim import FailureSchedule, compare_controllers, run_repetitions
+from repro.sim import (
+    FailureSchedule,
+    RunConfig,
+    compare_controllers,
+    run_repetitions,
+)
 from repro.sim.multirun import MetricSummary, _summarise
 from repro.sim.parallel import repetition_registry
 from repro.utils.seeding import RngRegistry
@@ -226,7 +231,7 @@ class TestCollectMetricsTriState:
         with obs.activate(registry):
             study = run_repetitions(
                 scenario, seed=41, repetitions=1, horizon=4,
-                collect_metrics=False,
+                config=RunConfig(collect_metrics=False),
             )
         assert study.metrics is None
         assert study.worker_metrics == {}
@@ -291,7 +296,7 @@ class TestFailuresThreading:
         )
         pooled = run_repetitions(
             scenario, seed=41, repetitions=2, horizon=6, failures=outage,
-            n_jobs=2,
+            config=RunConfig(jobs=2),
         )
         for name in serial.summaries:
             assert (

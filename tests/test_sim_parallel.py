@@ -1,4 +1,4 @@
-"""Tests for the process-parallel repetition engine (repro.sim.parallel)."""
+"""Tests for the repetition execution engine (repro.sim.parallel)."""
 
 import os
 
@@ -8,8 +8,15 @@ import pytest
 from repro.core import GreedyController, OlGdController, PriorityController
 from repro.mec import DriftingDelay, MECNetwork
 from repro.mec.requests import Request
-from repro.sim import ParallelRunner, resolve_n_jobs, run_repetitions
-from repro.sim.parallel import WorkItem, _execute_work_item, repetition_registry
+from repro.sim import RunConfig, resolve_n_jobs, run_repetitions
+from repro.sim.parallel import (
+    Sweep,
+    _execute_unit,
+    _InlineExecutor,
+    _Unit,
+    repetition_registry,
+    run_sweeps,
+)
 from repro.utils.seeding import RngRegistry
 from repro.workload import ConstantDemandModel
 
@@ -77,6 +84,33 @@ def always_crashing_scenario(rngs: RngRegistry):
     raise ValueError("nothing to build")
 
 
+def greedy_only_scenario(rngs: RngRegistry):
+    """``scenario`` without its OL_GD controller (index 0 is Greedy_GD)."""
+    network, requests = _world(rngs)
+    controllers = [GreedyController(network, requests, rngs.get("gr"))]
+    return network, ConstantDemandModel(requests), controllers
+
+
+def _run_unit(build, seed, *, done=(), n_controllers=None, horizon=3):
+    """Execute one in-process dispatch unit for repetition 0 of ``build``."""
+    unit = _Unit(
+        index=0,
+        sweep=Sweep(
+            build, seed=seed, repetitions=1, horizon=horizon,
+            n_controllers=n_controllers,
+        ),
+        repetition=0,
+        done=frozenset(done),
+        collect_metrics=False,
+        checkpoint_every=None,
+    )
+    executor = _InlineExecutor()
+    try:
+        return executor.submit(_execute_unit, unit).result()
+    finally:
+        executor.shutdown()
+
+
 class TestResolveNJobs:
     def test_literal_positive(self):
         assert resolve_n_jobs(1) == 1
@@ -101,7 +135,7 @@ class TestBitIdentity:
     def test_parallel_matches_serial_summaries(self):
         serial = run_repetitions(scenario, seed=101, repetitions=4, horizon=6)
         parallel = run_repetitions(
-            scenario, seed=101, repetitions=4, horizon=6, n_jobs=2
+            scenario, seed=101, repetitions=4, horizon=6, config=RunConfig(jobs=2)
         )
         assert set(serial.summaries) == set(parallel.summaries) == {
             "OL_GD",
@@ -117,7 +151,7 @@ class TestBitIdentity:
     def test_parallel_matches_serial_raw_series(self):
         serial = run_repetitions(scenario, seed=103, repetitions=2, horizon=5)
         parallel = run_repetitions(
-            scenario, seed=103, repetitions=2, horizon=5, n_jobs=2
+            scenario, seed=103, repetitions=2, horizon=5, config=RunConfig(jobs=2)
         )
         for controller in serial.raw:
             for rep_serial, rep_parallel in zip(
@@ -131,8 +165,13 @@ class TestBitIdentity:
                 )
 
     def test_worker_count_does_not_change_results(self):
-        two = run_repetitions(scenario, seed=107, repetitions=3, horizon=4, n_jobs=2)
-        three = run_repetitions(scenario, seed=107, repetitions=3, horizon=4, n_jobs=3)
+        two, three = (
+            run_repetitions(
+                scenario, seed=107, repetitions=3, horizon=4,
+                config=RunConfig(jobs=jobs),
+            )
+            for jobs in (2, 3)
+        )
         for controller in two.summaries:
             for metric in DETERMINISTIC_METRICS:
                 assert (
@@ -159,13 +198,19 @@ class TestFailureReporting:
         assert study.completed_runs == 7
 
     def test_parallel_crash_reported_not_fatal(self):
-        study = run_repetitions(
-            crashing_scenario,
-            seed=CRASH_STUDY_SEED,
-            repetitions=4,
-            horizon=4,
-            n_jobs=2,
+        serial, study = (
+            run_repetitions(
+                crashing_scenario,
+                seed=CRASH_STUDY_SEED,
+                repetitions=4,
+                horizon=4,
+                config=RunConfig(jobs=jobs),
+            )
+            for jobs in (1, 2)
         )
+        assert [
+            (f.repetition, f.controller_index) for f in study.failures
+        ] == [(f.repetition, f.controller_index) for f in serial.failures]
         assert study.n_failed == 1
         assert study.failures[0].repetition == CRASH_REPETITION
         assert "injected crash" in study.failures[0].error
@@ -189,7 +234,7 @@ class TestFailureReporting:
 class TestTimingAccounting:
     def test_study_records_execution_accounting(self):
         study = run_repetitions(
-            scenario, seed=109, repetitions=2, horizon=4, n_jobs=2
+            scenario, seed=109, repetitions=2, horizon=4, config=RunConfig(jobs=2)
         )
         assert study.n_jobs == 2
         assert study.wall_clock_seconds > 0
@@ -219,7 +264,8 @@ class TestTelemetryMerge:
 
     def test_serial_study_collects_metrics(self):
         study = run_repetitions(
-            scenario, seed=127, repetitions=2, horizon=3, collect_metrics=True
+            scenario, seed=127, repetitions=2, horizon=3,
+            config=RunConfig(collect_metrics=True),
         )
         assert study.metrics is not None
         # 2 reps x 2 controllers x 3 slots, every slot counted exactly once.
@@ -232,15 +278,15 @@ class TestTelemetryMerge:
 
     def test_parallel_aggregate_identical_to_serial(self):
         serial = run_repetitions(
-            scenario, seed=131, repetitions=3, horizon=4, collect_metrics=True
+            scenario, seed=131, repetitions=3, horizon=4,
+            config=RunConfig(collect_metrics=True),
         )
         parallel = run_repetitions(
             scenario,
             seed=131,
             repetitions=3,
             horizon=4,
-            n_jobs=2,
-            collect_metrics=True,
+            config=RunConfig(jobs=2, collect_metrics=True),
         )
         # Deterministic telemetry (counters, histogram observation counts)
         # is identical in aggregate regardless of worker count; only the
@@ -261,13 +307,9 @@ class TestTelemetryMerge:
         assert total == parallel.metrics.counter("sim.slots")
 
     def test_work_items_carry_snapshots(self):
-        runner = ParallelRunner(n_jobs=1)
-        work = runner.run(
-            scenario,
-            seed=127,
-            repetitions=1,
-            horizon=3,
-            collect_metrics=True,
+        [work] = run_sweeps(
+            [Sweep(scenario, seed=127, repetitions=1, horizon=3)],
+            config=RunConfig(collect_metrics=True),
         )
         assert all(w.metrics is not None for w in work)
         assert all(w.pid == os.getpid() for w in work)
@@ -293,53 +335,71 @@ class TestTelemetryMerge:
         registry = obs.MetricsRegistry()
         with obs.activate(registry):
             run_repetitions(
-                scenario, seed=127, repetitions=2, horizon=3, n_jobs=2
+                scenario, seed=127, repetitions=2, horizon=3, config=RunConfig(jobs=2)
             )
         assert registry.counter("sim.slots") == 12
 
 
-class TestParallelRunner:
+class TestEngine:
     def test_results_sorted_by_grid_position(self):
-        runner = ParallelRunner(n_jobs=2)
-        work = runner.run(scenario, seed=113, repetitions=3, horizon=3)
+        [work] = run_sweeps(
+            [Sweep(scenario, seed=113, repetitions=3, horizon=3)],
+            config=RunConfig(jobs=2),
+        )
         coords = [(w.repetition, w.controller_index) for w in work]
         assert coords == [(r, c) for r in range(3) for c in range(2)]
 
-    def test_probe_counts_controllers(self):
-        assert ParallelRunner._probe_controller_count(scenario, seed=113) == 2
-
     def test_execute_work_item_in_process(self):
-        result = _execute_work_item(
-            scenario,
-            seed=113,
-            item=WorkItem(repetition=0, controller_index=1),
-            horizon=3,
-            demands_known=True,
-        )
+        # A unit runs every index of its world that is not yet done.
+        outcome = _run_unit(scenario, 113, done={0})
+        [result] = outcome.results
         assert result.ok
-        assert result.controller_name == "Greedy_GD"
+        assert (result.controller_index, result.controller_name) == (
+            1,
+            "Greedy_GD",
+        )
         assert result.result.horizon == 3
         assert result.wall_seconds > 0
 
     def test_failed_item_failure_conversion(self):
-        result = _execute_work_item(
-            always_crashing_scenario,
-            seed=1,
-            item=WorkItem(repetition=0, controller_index=0),
-            horizon=3,
-            demands_known=True,
-        )
+        # Without a controller count, a build crash is one failed item...
+        [result] = _run_unit(always_crashing_scenario, 1).results
+        assert (result.repetition, result.controller_index) == (0, 0)
         assert not result.ok
         failure = result.failure()
         assert "nothing to build" in failure.error
+        # ...with one, it fails every pending controller of the unit.
+        crashed = _run_unit(
+            always_crashing_scenario, 1, n_controllers=3, done={1}
+        ).results
+        assert [r.controller_index for r in crashed] == [0, 2]
+        assert not any(r.ok for r in crashed)
 
     def test_ok_item_has_no_failure(self):
-        result = _execute_work_item(
-            scenario,
-            seed=113,
-            item=WorkItem(repetition=0, controller_index=0),
-            horizon=3,
-            demands_known=True,
-        )
+        result = _run_unit(scenario, 113).results[0]
         with pytest.raises(ValueError):
             result.failure()
+
+    def test_world_cache_scoped_to_one_call(self, tmp_path):
+        """Back-to-back in-process calls with the same seed never share a
+        world build: the second call runs only index 1, which the first
+        call's one-controller world does not even have."""
+        sweep_dir = tmp_path / "sweep"
+        full = run_repetitions(
+            scenario, seed=5, repetitions=2, horizon=3,
+            config=RunConfig(checkpoint_dir=sweep_dir),
+        )
+        for path in sweep_dir.glob("rep*-ctrl001.npz"):
+            path.unlink()
+        run_repetitions(greedy_only_scenario, seed=5, repetitions=2, horizon=3)
+        resumed = run_repetitions(
+            scenario, seed=5, repetitions=2, horizon=3,
+            config=RunConfig(checkpoint_dir=sweep_dir, resume=True),
+        )
+        assert resumed.n_failed == 0
+        for name in full.summaries:
+            for metric in DETERMINISTIC_METRICS:
+                assert (
+                    full.summary(name, metric).values
+                    == resumed.summary(name, metric).values
+                )
